@@ -67,6 +67,7 @@
 #include "lapx/core/view.hpp"
 #include "lapx/graph/digraph.hpp"
 #include "lapx/graph/ooc.hpp"
+#include "lapx/graph/step_csr.hpp"
 
 namespace lapx::core {
 
@@ -105,7 +106,7 @@ class RefineState {
   /// every step read goes through the residency manager, so a
   /// budget-capped OocGraph keeps the working set bounded.  TypeIds are
   /// identical to the in-memory constructor against the same interner
-  /// (the on-disk step CSR is bit-for-bit what build_steps produces).
+  /// (the on-disk step CSR is what graph::build_step_csr produces).
   /// Rounds are not kept, so refine_delta is unavailable; `g` must
   /// outlive the state.
   explicit RefineState(const graph::OocGraph& g,
@@ -153,52 +154,26 @@ class RefineState {
   DeltaStats refine_delta(const LDigraph& g);
 
  private:
-  void build_steps();  // CSR over *g_'s non-backtracking steps
-  void fill_vertex_steps(graph::Vertex v);  // one vertex's span of the CSR
   void init_round0();  // shared radius-0 setup for both constructors
   void advance();      // one synchronous round: radius() + 1
   void reset_partitions();  // conservative: next advance() re-deduplicates
 
-  // The step CSR the rounds iterate: the owned vectors below, or (in
-  // streaming mode) the ooc file's mmap'd segments.  advance() takes these
-  // spans as locals, so both modes share one code path.
-  std::span<const std::uint32_t> off_span() const {
-    return ooc_ ? ooc_->step_off() : std::span<const std::uint32_t>(step_off_);
-  }
-  std::span<const std::uint32_t> vertex_span() const {
-    return ooc_ ? ooc_->step_vertex()
-                : std::span<const std::uint32_t>(step_vertex_);
-  }
-  std::span<const std::uint32_t> succ_span() const {
-    return ooc_ ? ooc_->step_succ()
-                : std::span<const std::uint32_t>(step_succ_);
-  }
-  std::span<const std::uint64_t> tag_span() const {
-    return ooc_ ? ooc_->step_edge_tag()
-                : std::span<const std::uint64_t>(step_edge_tag_);
-  }
-  std::span<const std::uint32_t> move_span() const {
-    return ooc_ ? ooc_->step_move_bits()
-                : std::span<const std::uint32_t>(step_move_bits_);
+  // The step CSR the rounds iterate: the owned steps_, or (in streaming
+  // mode) the ooc file's mmap'd segments.  Recomputed on every call, never
+  // stored: a copied state (session epochs) must not read its source's
+  // vectors.
+  graph::StepView step_view() const {
+    return ooc_ ? ooc_->steps() : steps_.view();
   }
   void touch_steps(std::uint32_t lo, std::uint32_t hi) const {
     if (ooc_) ooc_->touch_steps(lo, hi);
   }
 
-  const LDigraph* g_ = nullptr;
   const graph::OocGraph* ooc_ = nullptr;  // streaming mode; else nullptr
   graph::Vertex n_ = 0;                   // vertex count of the bound graph
   TypeInterner* interner_;
   bool keep_rounds_ = false;
-
-  // Flattened non-backtracking steps, grouped by vertex, sorted by
-  // (outgoing, label) within a vertex: in-arcs (label order) then out-arcs.
-  std::vector<std::uint32_t> step_off_;       // per vertex; size n+1
-  std::vector<std::uint32_t> step_vertex_;    // owning vertex of each step
-  std::vector<std::uint32_t> step_succ_;      // state index the step leads to
-  std::vector<std::uint32_t> step_nbr_;       // neighbor vertex of each step
-  std::vector<std::uint64_t> step_edge_tag_;  // kViewEdge | move payload
-  std::vector<std::uint32_t> step_move_bits_; // outgoing<<31 | label
+  graph::StepCsr steps_;  // in-memory mode's step CSR (graph/step_csr.hpp)
 
   // State types of the previous / current round (indexed by step).
   std::vector<TypeId> t_prev_, t_cur_;
@@ -206,7 +181,7 @@ class RefineState {
   // (kNoType where the probe missed; Phase B interns those serially).
   std::vector<TypeId> edge_ids_;
   // Edge memo: when edge_ids_[j] != kNoType it is the id of the node
-  // (step_edge_tag_[j], edge_sub_[j]).  TypeIds are permanent, so the pair
+  // (step_view().tag[j], edge_sub_[j]).  TypeIds are permanent, so the pair
   // stays valid across rounds; Phase A re-probes step j only when the
   // successor state differs from edge_sub_[j].  Rebuilds that change what
   // step j means (init_round0, refine_delta) reset the memo to kNoType.
@@ -276,14 +251,9 @@ class RefineState {
   // generation.  Swapped, never freed -- a steady-state session alternates
   // between two generations of buffers, so a delta pass allocates nothing
   // after the first call.
-  std::vector<std::uint32_t> scratch_off_, scratch_vertex_, scratch_succ_,
-      scratch_nbr_, scratch_move_;
-  std::vector<std::uint64_t> scratch_tag_;
+  graph::StepCsr scratch_steps_;
   std::vector<std::vector<TypeId>> scratch_rounds_;
 };
-
-/// The engine's historical name; new code should say RefineState.
-using ViewRefiner = RefineState;
 
 /// One-shot convenience: radius-r root types for every vertex.
 std::vector<TypeId> bulk_view_type_ids(

@@ -35,21 +35,6 @@ std::atomic<RefineSched> g_refine_sched{initial_sched()};
 // itself only O(frontier)).
 constexpr std::size_t kDistinctUnknown = static_cast<std::size_t>(-1);
 
-// Index of the step (v, move{outgoing, label}) inside its vertex's span.
-std::uint32_t step_index_of(const graph::LDigraph& g, graph::Vertex v,
-                            bool outgoing, graph::Label label,
-                            std::uint32_t base) {
-  const auto arcs = outgoing ? g.out_arcs(v) : g.in_arcs(v);
-  const auto it = std::lower_bound(
-      arcs.begin(), arcs.end(), label,
-      [](const std::pair<graph::Label, graph::Vertex>& a, graph::Label l) {
-        return a.first < l;
-      });
-  const auto pos = static_cast<std::uint32_t>(it - arcs.begin());
-  return base + (outgoing ? static_cast<std::uint32_t>(g.in_degree(v)) : 0u) +
-         pos;
-}
-
 }  // namespace
 
 RefineSched refine_scheduling() {
@@ -60,63 +45,12 @@ void set_refine_scheduling(RefineSched s) {
   g_refine_sched.store(s, std::memory_order_relaxed);
 }
 
-// The ooc writer persists edge tags computed in graph/ (which cannot see
-// this header); the duplicated constant must stay bit-identical or
-// streaming TypeIds would diverge from in-memory ones.
-static_assert(graph::kOocViewEdgeTag == type_tag::kViewEdge,
-              "graph/ooc edge tag must equal type_tag::kViewEdge");
-
-void RefineState::build_steps() {
-  const LDigraph& g = *g_;
-  const Vertex n = g.num_vertices();
-  step_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Vertex v = 0; v < n; ++v)
-    step_off_[static_cast<std::size_t>(v) + 1] =
-        step_off_[v] + static_cast<std::uint32_t>(g.degree(v));
-  const std::size_t steps = step_off_[n];
-  step_vertex_.resize(steps);
-  step_succ_.resize(steps);
-  step_nbr_.resize(steps);
-  step_edge_tag_.resize(steps);
-  step_move_bits_.resize(steps);
-  runtime::parallel_for(
-      n, [&](std::int64_t vi) { fill_vertex_steps(static_cast<Vertex>(vi)); });
-}
-
-void RefineState::fill_vertex_steps(graph::Vertex v) {
-  const LDigraph& g = *g_;
-  std::uint32_t s = step_off_[v];
-  // In-arc steps first (outgoing == false), then out-arc steps: both span
-  // lists are sorted by label, so the steps land in (outgoing, label)
-  // order -- the order view() emits children in.
-  for (const auto& [l, w] : g.in_arcs(v)) {
-    step_vertex_[s] = static_cast<std::uint32_t>(v);
-    // Following the in-arc backwards arrives at w via move {false, l};
-    // the state it realizes excludes the inverse step {true, l} at w.
-    step_succ_[s] = step_index_of(g, w, true, l, step_off_[w]);
-    step_nbr_[s] = static_cast<std::uint32_t>(w);
-    step_edge_tag_[s] = type_tag::kViewEdge | static_cast<std::uint32_t>(l);
-    step_move_bits_[s] = static_cast<std::uint32_t>(l);
-    ++s;
-  }
-  for (const auto& [l, w] : g.out_arcs(v)) {
-    step_vertex_[s] = static_cast<std::uint32_t>(v);
-    step_succ_[s] = step_index_of(g, w, false, l, step_off_[w]);
-    step_nbr_[s] = static_cast<std::uint32_t>(w);
-    step_edge_tag_[s] = type_tag::kViewEdge | (std::uint64_t{1} << 32) |
-                        static_cast<std::uint32_t>(l);
-    step_move_bits_[s] = 0x80000000u | static_cast<std::uint32_t>(l);
-    ++s;
-  }
-}
-
 RefineState::RefineState(const LDigraph& g, TypeInterner& interner,
                          bool keep_rounds)
-    : g_(&g),
-      n_(g.num_vertices()),
+    : n_(g.num_vertices()),
       interner_(&interner),
-      keep_rounds_(keep_rounds) {
-  build_steps();
+      keep_rounds_(keep_rounds),
+      steps_(graph::build_step_csr(g)) {
   init_round0();
 }
 
@@ -128,7 +62,7 @@ RefineState::RefineState(const graph::OocGraph& g, TypeInterner& interner)
 }
 
 void RefineState::init_round0() {
-  const std::size_t steps = off_span()[static_cast<std::size_t>(n_)];
+  const std::size_t steps = step_view().tag.size();
 
   // Round 0: every state is the empty node -- one class.
   const TypeId empty = interner_->intern_node(type_tag::kViewNode, nullptr, 0);
@@ -155,12 +89,13 @@ void RefineState::advance() {
   TypeInterner& interner = *interner_;
   const Vertex n = n_;
   // One code path for both modes: locals over the owned vectors or over
-  // the ooc file's mmap'd segments (never dangling -- the spans are
-  // re-taken each round, and the owned vectors are not resized here).
-  const std::span<const std::uint32_t> step_off = off_span();
-  const std::span<const std::uint32_t> step_vertex = vertex_span();
-  const std::span<const std::uint32_t> step_succ = succ_span();
-  const std::span<const std::uint64_t> step_edge_tag = tag_span();
+  // the ooc file's mmap'd segments (never dangling -- the view is re-taken
+  // each round, and the owned vectors are not resized here).
+  const graph::StepView steps = step_view();
+  const std::span<const std::uint32_t> step_off = steps.off;
+  const std::span<const std::uint32_t> step_vertex = steps.vertex;
+  const std::span<const std::uint32_t> step_succ = steps.succ;
+  const std::span<const std::uint64_t> step_edge_tag = steps.tag;
   const int next_radius = radius() + 1;
   const std::uint64_t root_tag =
       type_tag::kViewRoot | static_cast<std::uint32_t>(next_radius);
@@ -636,8 +571,7 @@ std::size_t RefineState::distinct_at(int radius) {
 
 void RefineState::reset_partitions() {
   const auto n = static_cast<std::size_t>(n_);
-  const std::size_t steps = step_off_.empty() ? 0 : step_off_.back();
-  state_class_.resize(steps);
+  state_class_.resize(steps_.num_steps());
   state_rep_.clear();
   state_distinct_ = 0;
   states_stable_ = false;
@@ -655,7 +589,7 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
     throw std::logic_error(
         "refine_delta requires a RefineState built with keep_rounds");
   const int max_r = radius();  // >= 0 always (radius 0 exists from birth)
-  const auto old_n = static_cast<Vertex>(step_off_.size()) - 1;
+  const auto old_n = static_cast<Vertex>(steps_.off.size()) - 1;
   DeltaStats stats;
   stats.rounds = max_r;
   stats.total_vertices = static_cast<std::size_t>(g.num_vertices());
@@ -673,22 +607,12 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
   // Retire the old CSR and tables into member scratch.  Swapping (rather
   // than freeing) matters: the large-lift tables are mmap-sized, and a
   // malloc/munmap cycle per edit costs as much as the refinement itself.
-  // The new CSR is PATCHED, not rebuilt: a delta pass must not pay
-  // build_steps' full O(steps) label-scan cost for an edit that touched a
+  // The new CSR is PATCHED, not rebuilt: a delta pass must not pay the
+  // builder's full O(steps) label-search cost for an edit that touched a
   // handful of vertices.
-  scratch_off_.swap(step_off_);
-  scratch_vertex_.swap(step_vertex_);
-  scratch_succ_.swap(step_succ_);
-  scratch_nbr_.swap(step_nbr_);
-  scratch_move_.swap(step_move_bits_);
-  scratch_tag_.swap(step_edge_tag_);
+  std::swap(scratch_steps_, steps_);
   scratch_rounds_.swap(round_states_);
-  const std::vector<std::uint32_t>& old_off = scratch_off_;
-  const std::vector<std::uint32_t>& old_vertex = scratch_vertex_;
-  const std::vector<std::uint32_t>& old_succ = scratch_succ_;
-  const std::vector<std::uint32_t>& old_nbr = scratch_nbr_;
-  const std::vector<std::uint32_t>& old_move = scratch_move_;
-  const std::vector<std::uint64_t>& old_tag = scratch_tag_;
+  const std::vector<std::uint32_t>& old_off = scratch_steps_.off;
   std::vector<std::vector<TypeId>>& old_rounds = scratch_rounds_;
   // round_states_ now holds the husks from two generations ago -- their
   // capacity seeds this generation's tables.
@@ -702,101 +626,20 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
     }
     return buf;
   };
-  g_ = &g;
   n_ = g.num_vertices();
   const Vertex n = n_;
-  step_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Vertex v = 0; v < n; ++v)
-    step_off_[static_cast<std::size_t>(v) + 1] =
-        step_off_[v] + static_cast<std::uint32_t>(g.degree(v));
-  const std::size_t steps = step_off_[static_cast<std::size_t>(n)];
 
-  // Seed: a vertex is dirty when its incident-step SIGNATURE changed --
-  // the per-span sequence of (move bits, successor vertex) pairs, compared
-  // straight off the adjacency in the same (outgoing, label) enumeration
-  // order fill_vertex_steps uses.  T_1 is a pure function of the
-  // signature, and the signature also pins the identity of every successor
-  // state, so a clean vertex's old table values transplant verbatim.
-  // Serial on purpose: the whole scan is ~one pass over the adjacency, and
-  // the pool's wake/barrier costs more than the scan itself at this size.
+  // Seed: the vertices whose incident-step signature changed (see
+  // graph::patch_step_csr).  T_1 is a pure function of the signature, and
+  // the signature also pins the identity of every successor state, so a
+  // clean vertex's old table values transplant verbatim.
+  std::vector<Vertex> frontier =
+      graph::patch_step_csr(g, scratch_steps_.view(), steps_);
+  const std::size_t steps = steps_.num_steps();
+  const std::vector<std::uint32_t>& step_off = steps_.off;
   std::vector<char> in_frontier(static_cast<std::size_t>(n), 0);
-  std::vector<Vertex> frontier;
-  for (Vertex v = 0; v < n; ++v) {
-    bool same = v < old_n &&
-                step_off_[v + 1] - step_off_[v] == old_off[v + 1] - old_off[v];
-    if (same) {
-      std::uint32_t k = old_off[v];
-      for (const auto& [l, w] : g.in_arcs(v)) {
-        if (old_move[k] != static_cast<std::uint32_t>(l) ||
-            old_nbr[k] != static_cast<std::uint32_t>(w)) {
-          same = false;
-          break;
-        }
-        ++k;
-      }
-      if (same)
-        for (const auto& [l, w] : g.out_arcs(v)) {
-          if (old_move[k] != (0x80000000u | static_cast<std::uint32_t>(l)) ||
-              old_nbr[k] != static_cast<std::uint32_t>(w)) {
-            same = false;
-            break;
-          }
-          ++k;
-        }
-    }
-    if (!same) {
-      in_frontier[static_cast<std::size_t>(v)] = 1;
-      frontier.push_back(v);
-    }
-  }
+  for (const Vertex v : frontier) in_frontier[static_cast<std::size_t>(v)] = 1;
   stats.dirty_vertices = frontier.size();
-
-  // Patch the CSR.  Dirty spans refill from scratch; clean spans block-copy
-  // (within a run of clean vertices the old-vs-new offset delta is
-  // constant, because degrees change only at signature-changed vertices).
-  // A clean step's successor index shifts by its target span's offset
-  // delta -- unless the target itself is dirty and may have reordered its
-  // span, which costs one label scan.
-  step_vertex_.resize(steps);
-  step_succ_.resize(steps);
-  step_nbr_.resize(steps);
-  step_edge_tag_.resize(steps);
-  step_move_bits_.resize(steps);
-  {
-    Vertex run_start = 0;
-    for (std::size_t fi = 0; fi <= frontier.size(); ++fi) {
-      const Vertex stop = fi < frontier.size() ? frontier[fi] : n;
-      if (run_start < stop) {
-        const std::uint32_t lo = step_off_[run_start];
-        const std::uint32_t olo = old_off[run_start];
-        const std::uint32_t len = step_off_[stop] - lo;
-        std::copy(old_vertex.begin() + olo, old_vertex.begin() + olo + len,
-                  step_vertex_.begin() + lo);
-        std::copy(old_nbr.begin() + olo, old_nbr.begin() + olo + len,
-                  step_nbr_.begin() + lo);
-        std::copy(old_move.begin() + olo, old_move.begin() + olo + len,
-                  step_move_bits_.begin() + lo);
-        std::copy(old_tag.begin() + olo, old_tag.begin() + olo + len,
-                  step_edge_tag_.begin() + lo);
-        for (std::uint32_t j = 0; j < len; ++j) {
-          const std::uint32_t os = old_succ[olo + j];
-          const auto w = static_cast<Vertex>(old_nbr[olo + j]);
-          if (in_frontier[static_cast<std::size_t>(w)]) {
-            const std::uint32_t mb = old_move[olo + j];
-            step_succ_[lo + j] = step_index_of(
-                g, w, (mb & 0x80000000u) == 0,
-                static_cast<graph::Label>(mb & 0x7fffffffu), step_off_[w]);
-          } else {
-            step_succ_[lo + j] = os - old_off[w] + step_off_[w];
-          }
-        }
-      }
-      if (fi < frontier.size()) {
-        fill_vertex_steps(frontier[fi]);
-        run_start = frontier[fi] + 1;
-      }
-    }
-  }
 
   // Round 0 is edit-proof: every state is the empty node, every root the
   // same single-node view; only the lengths can change (growth).
@@ -824,7 +667,7 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
   // contiguous runs -- degrees shift only at signature-changed vertices, so
   // between two dirty vertices the old-vs-new offset delta is constant and
   // the whole run is one block copy.
-  const bool same_layout = old_off == step_off_;
+  const bool same_layout = old_off == step_off;
   std::vector<TypeId> tmp_edges;
   for (int i = 1; i <= max_r; ++i) {
     std::vector<TypeId> t;
@@ -840,8 +683,8 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
       for (std::size_t fi = 0; fi <= frontier.size(); ++fi) {
         const Vertex stop = fi < frontier.size() ? frontier[fi] : n;
         if (run_start < stop) {  // all-clean => every vertex < old_n
-          const std::uint32_t lo = step_off_[run_start];
-          const std::uint32_t len = step_off_[stop] - lo;
+          const std::uint32_t lo = step_off[run_start];
+          const std::uint32_t len = step_off[stop] - lo;
           std::copy(old_t.begin() + old_off[run_start],
                     old_t.begin() + old_off[run_start] + len, t.begin() + lo);
         }
@@ -855,11 +698,11 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
     std::vector<TypeId>& roots = roots_[static_cast<std::size_t>(i)];
     roots.resize(static_cast<std::size_t>(n), TypeId{});
     for (const Vertex v : frontier) {
-      const std::uint32_t lo = step_off_[v], hi = step_off_[v + 1];
+      const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
       tmp_edges.clear();
       for (std::uint32_t j = lo; j < hi; ++j) {
-        const TypeId sub = prev[step_succ_[j]];
-        tmp_edges.push_back(interner_->intern_node(step_edge_tag_[j], &sub, 1));
+        const TypeId sub = prev[steps_.succ[j]];
+        tmp_edges.push_back(interner_->intern_node(steps_.tag[j], &sub, 1));
       }
       const TypeId body = interner_->intern_node(
           type_tag::kViewNode, tmp_edges.data(), tmp_edges.size());
@@ -869,9 +712,9 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
         tmp_edges.clear();
         for (std::uint32_t j = lo; j < hi; ++j) {
           if (j == s) continue;
-          const TypeId sub = prev[step_succ_[j]];
+          const TypeId sub = prev[steps_.succ[j]];
           tmp_edges.push_back(
-              interner_->intern_node(step_edge_tag_[j], &sub, 1));
+              interner_->intern_node(steps_.tag[j], &sub, 1));
         }
         t[s] = interner_->intern_node(type_tag::kViewNode, tmp_edges.data(),
                                       tmp_edges.size());

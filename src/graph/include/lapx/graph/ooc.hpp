@@ -26,11 +26,12 @@
 //   u64 out_arcs[m]    -- label << 32 | target,  grouped by source, sorted
 //   u64 in_arcs[m]     -- label << 32 | source,  grouped by target, sorted
 //
-// The *step* segments are the refinement accelerator: the exact flat step
-// CSR core::RefineState builds in RAM (fill_vertex_steps), precomputed at
-// conversion time so streaming refinement never touches the adjacency:
+// The *step* segments are the refinement accelerator: the StepCsr that
+// build_step_csr (step_csr.hpp) produces and core::RefineState iterates in
+// RAM, precomputed at conversion time so streaming refinement never
+// touches the adjacency:
 //
-//   u64 step_tag[steps]                      -- kOocViewEdgeTag | move
+//   u64 step_tag[steps]                      -- kViewEdge | move
 //   u32 step_off[n+1]  (padded to 8 bytes)
 //   u32 step_vertex[steps]  step_succ[steps]  step_nbr[steps]
 //   u32 step_move[steps]    (each padded to 8 bytes)
@@ -39,7 +40,8 @@
 // fsyncs, and renames into place -- a crash never leaves a torn file under
 // the target name.  The reader validates magic, version, both checksums,
 // the claimed sizes against the real file size (a short mmap fails closed,
-// never faults), and every offset/index invariant before handing out
+// never faults), every offset/index invariant, and each step's owner, tag
+// and successor against what the builder derives, before handing out
 // spans.  OocGraph::touch_steps is the residency hook: callers report the
 // step ranges they are about to walk, and once tracked residency exceeds
 // the configured budget the least-recently-used chunks are dropped with
@@ -58,6 +60,7 @@
 #include <vector>
 
 #include "lapx/graph/digraph.hpp"
+#include "lapx/graph/step_csr.hpp"
 
 namespace lapx::graph {
 
@@ -74,36 +77,14 @@ namespace testing {
 extern std::atomic<int> ooc_fail_madvise;
 }  // namespace testing
 
-/// The step-segment edge tag base.  graph/ cannot see core/interner.hpp,
-/// so the value is duplicated here; core/refine.cpp static_asserts it
-/// equals type_tag::kViewEdge, keeping the on-disk tags bit-identical to
-/// the in-memory engine's.
-inline constexpr std::uint64_t kOocViewEdgeTag = std::uint64_t{2} << 56;
-
 /// FNV-1a 64 (the repo-wide content hash; seed/prime per the reference).
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
                       std::uint64_t seed = 1469598103934665603ull);
 
-/// The flat non-backtracking step CSR of `g`, in exactly the layout
-/// core::RefineState::build_steps produces: per vertex, in-arc steps in
-/// label order then out-arc steps in label order; succ indexes the step a
-/// move leads to; tag = kOocViewEdgeTag | (outgoing << 32) | label;
-/// move_bits = (outgoing ? 0x80000000 : 0) | label.  Serial and
-/// deterministic -- this is what the writer persists.
-struct OocStepCsr {
-  std::vector<std::uint32_t> off;        // n + 1
-  std::vector<std::uint32_t> vertex;     // steps
-  std::vector<std::uint32_t> succ;       // steps
-  std::vector<std::uint32_t> nbr;        // steps
-  std::vector<std::uint32_t> move_bits;  // steps
-  std::vector<std::uint64_t> tag;        // steps
-};
-OocStepCsr build_step_csr(const LDigraph& g);
-
 /// Serializes `g` to `path` in the LAPXOOC1 format: writes to a temp file
 /// in the same directory, fsyncs, renames over `path`, fsyncs the
-/// directory.  Throws OocError on any I/O failure or when the graph
-/// exceeds the format's 2^32-step bound.
+/// directory.  Throws OocError on any I/O failure, std::length_error when
+/// the graph exceeds the 2^32-step bound.
 void write_ooc_graph(const std::string& path, const LDigraph& g);
 
 /// A validated, memory-mapped LAPXOOC1 file with LRU chunk residency.
@@ -131,7 +112,8 @@ class OocGraph {
 
   /// Opens and fully validates `path`; throws OocError on any mismatch
   /// (missing file, bad magic/version/endian tag, checksum mismatch, file
-  /// shorter than the header claims, or corrupt offsets/indices).
+  /// shorter than the header claims, corrupt offsets/indices, or a step
+  /// CSR the builder would not have written).
   OocGraph(const std::string& path, Options opt);
   explicit OocGraph(const std::string& path) : OocGraph(path, Options{}) {}
   ~OocGraph();
@@ -141,7 +123,7 @@ class OocGraph {
   Vertex num_vertices() const { return static_cast<Vertex>(n_); }
   std::size_t num_arcs() const { return static_cast<std::size_t>(m_); }
   Label alphabet_size() const { return static_cast<Label>(alphabet_); }
-  std::size_t num_steps() const { return static_cast<std::size_t>(steps_); }
+  std::size_t num_steps() const { return steps_.tag.size(); }
   const std::string& path() const { return path_; }
 
   /// The payload FNV -- the file's stable content hash (hex form is what
@@ -155,25 +137,8 @@ class OocGraph {
   std::span<const std::uint64_t> out_arcs() const { return {out_arcs_, m_}; }
   std::span<const std::uint64_t> in_arcs() const { return {in_arcs_, m_}; }
 
-  // Step segments (the refinement engine's flat CSR, mmap'd).
-  std::span<const std::uint32_t> step_off() const {
-    return {step_off_, n_ + 1};
-  }
-  std::span<const std::uint32_t> step_vertex() const {
-    return {step_vertex_, steps_};
-  }
-  std::span<const std::uint32_t> step_succ() const {
-    return {step_succ_, steps_};
-  }
-  std::span<const std::uint32_t> step_nbr() const {
-    return {step_nbr_, steps_};
-  }
-  std::span<const std::uint32_t> step_move_bits() const {
-    return {step_move_, steps_};
-  }
-  std::span<const std::uint64_t> step_edge_tag() const {
-    return {step_tag_, steps_};
-  }
+  /// The step segments (the refinement engine's flat CSR, mmap'd).
+  const StepView& steps() const { return steps_; }
 
   /// Residency hook: records that the step range [lo, hi) of every step
   /// segment is about to be read, refreshing the owning chunks' LRU
@@ -201,7 +166,7 @@ class OocGraph {
   int fd_ = -1;
   unsigned char* map_ = nullptr;  // whole file
   std::size_t map_bytes_ = 0;
-  std::size_t n_ = 0, m_ = 0, steps_ = 0;
+  std::size_t n_ = 0, m_ = 0;
   std::uint32_t alphabet_ = 0;
   std::uint64_t payload_checksum_ = 0;
 
@@ -209,12 +174,7 @@ class OocGraph {
   const std::uint64_t* in_off_ = nullptr;
   const std::uint64_t* out_arcs_ = nullptr;
   const std::uint64_t* in_arcs_ = nullptr;
-  const std::uint64_t* step_tag_ = nullptr;
-  const std::uint32_t* step_off_ = nullptr;
-  const std::uint32_t* step_vertex_ = nullptr;
-  const std::uint32_t* step_succ_ = nullptr;
-  const std::uint32_t* step_nbr_ = nullptr;
-  const std::uint32_t* step_move_ = nullptr;
+  StepView steps_;
 
   // Chunked LRU residency over the mapped payload.
   mutable std::mutex residency_mu_;

@@ -78,20 +78,6 @@ void full_write(int fd, const void* data, std::size_t bytes,
   }
 }
 
-// Index of the step (v, move{outgoing, label}) inside v's span -- the
-// serial twin of core/refine.cpp's step_index_of, kept in lockstep so the
-// persisted succ indices match what the in-memory engine computes.
-std::uint32_t step_index_of(const LDigraph& g, Vertex v, bool outgoing,
-                            Label label, std::uint32_t base) {
-  const auto arcs = outgoing ? g.out_arcs(v) : g.in_arcs(v);
-  const auto it = std::lower_bound(
-      arcs.begin(), arcs.end(), label,
-      [](const std::pair<Label, Vertex>& a, Label l) { return a.first < l; });
-  const auto pos = static_cast<std::uint32_t>(it - arcs.begin());
-  return base + (outgoing ? static_cast<std::uint32_t>(g.in_degree(v)) : 0u) +
-         pos;
-}
-
 }  // namespace
 
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
@@ -105,54 +91,11 @@ std::uint64_t fnv1a64(const void* data, std::size_t bytes,
   return h;
 }
 
-OocStepCsr build_step_csr(const LDigraph& g) {
-  const Vertex n = g.num_vertices();
-  OocStepCsr csr;
-  csr.off.assign(static_cast<std::size_t>(n) + 1, 0);
-  std::uint64_t total = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    total += static_cast<std::uint64_t>(g.degree(v));
-    if (total > std::numeric_limits<std::uint32_t>::max())
-      throw OocError("graph exceeds the 2^32-step bound of the ooc format");
-    csr.off[static_cast<std::size_t>(v) + 1] =
-        static_cast<std::uint32_t>(total);
-  }
-  const auto steps = static_cast<std::size_t>(total);
-  csr.vertex.resize(steps);
-  csr.succ.resize(steps);
-  csr.nbr.resize(steps);
-  csr.move_bits.resize(steps);
-  csr.tag.resize(steps);
-  for (Vertex v = 0; v < n; ++v) {
-    std::uint32_t s = csr.off[static_cast<std::size_t>(v)];
-    for (const auto& [l, w] : g.in_arcs(v)) {
-      csr.vertex[s] = static_cast<std::uint32_t>(v);
-      csr.succ[s] = step_index_of(g, w, true, l,
-                                  csr.off[static_cast<std::size_t>(w)]);
-      csr.nbr[s] = static_cast<std::uint32_t>(w);
-      csr.tag[s] = kOocViewEdgeTag | static_cast<std::uint32_t>(l);
-      csr.move_bits[s] = static_cast<std::uint32_t>(l);
-      ++s;
-    }
-    for (const auto& [l, w] : g.out_arcs(v)) {
-      csr.vertex[s] = static_cast<std::uint32_t>(v);
-      csr.succ[s] = step_index_of(g, w, false, l,
-                                  csr.off[static_cast<std::size_t>(w)]);
-      csr.nbr[s] = static_cast<std::uint32_t>(w);
-      csr.tag[s] = kOocViewEdgeTag | (std::uint64_t{1} << 32) |
-                   static_cast<std::uint32_t>(l);
-      csr.move_bits[s] = 0x80000000u | static_cast<std::uint32_t>(l);
-      ++s;
-    }
-  }
-  return csr;
-}
-
 void write_ooc_graph(const std::string& path, const LDigraph& g) {
-  const OocStepCsr csr = build_step_csr(g);
+  const StepCsr csr = build_step_csr(g);
   const auto n = static_cast<std::size_t>(g.num_vertices());
   const std::size_t m = g.num_arcs();
-  const std::size_t steps = csr.tag.size();
+  const std::size_t steps = csr.num_steps();
 
   // Adjacency segments: 64-bit offsets, packed (label << 32 | endpoint).
   std::vector<std::uint64_t> out_off(n + 1, 0), in_off(n + 1, 0);
@@ -285,12 +228,12 @@ OocGraph::OocGraph(const std::string& path, Options opt)
     cleanup_fail("step count inconsistent with arc count");
   n_ = static_cast<std::size_t>(hdr.n);
   m_ = static_cast<std::size_t>(hdr.m);
-  steps_ = static_cast<std::size_t>(hdr.steps);
+  const auto steps = static_cast<std::size_t>(hdr.steps);
   alphabet_ = hdr.alphabet;
   payload_checksum_ = hdr.payload_checksum;
   const std::size_t expected_payload =
-      (n_ + 1) * 8 * 2 + m_ * 8 * 2 + steps_ * 8 + pad8((n_ + 1) * 4) +
-      4 * pad8(steps_ * 4);
+      (n_ + 1) * 8 * 2 + m_ * 8 * 2 + steps * 8 + pad8((n_ + 1) * 4) +
+      4 * pad8(steps * 4);
   if (hdr.payload_bytes != expected_payload)
     cleanup_fail("payload size inconsistent with the header counts");
   if (file_bytes < kHeaderBytes ||
@@ -314,34 +257,46 @@ OocGraph::OocGraph(const std::string& path, Options opt)
   in_off_ = take64(n_ + 1);
   out_arcs_ = take64(m_);
   in_arcs_ = take64(m_);
-  step_tag_ = take64(steps_);
-  step_off_ = take32(n_ + 1);
-  step_vertex_ = take32(steps_);
-  step_succ_ = take32(steps_);
-  step_nbr_ = take32(steps_);
-  step_move_ = take32(steps_);
+  steps_.tag = {take64(steps), steps};
+  steps_.off = {take32(n_ + 1), n_ + 1};
+  steps_.vertex = {take32(steps), steps};
+  steps_.succ = {take32(steps), steps};
+  steps_.nbr = {take32(steps), steps};
+  steps_.move_bits = {take32(steps), steps};
 
   // Structural invariants: monotone offsets ending at the claimed totals,
-  // and every index within range.  The checksum already rules out bit rot;
-  // this pass rules out a well-checksummed but crafted/corrupt writer, so
-  // the span accessors can never read out of bounds.
-  if (out_off_[0] != 0 || in_off_[0] != 0 || step_off_[0] != 0)
+  // every index within range, and every step consistent the way
+  // build_step_csr writes it (owner, tag from move bits, successor the
+  // inverse step in the neighbour's span).  The checksum already rules out
+  // bit rot; this pass rules out a well-checksummed but crafted/corrupt
+  // writer, so the spans can never read out of bounds or yield
+  // wrong-but-consistent ids.
+  if (out_off_[0] != 0 || in_off_[0] != 0 || steps_.off[0] != 0)
     cleanup_fail("segment offsets do not start at zero");
   for (std::size_t v = 0; v < n_; ++v) {
     if (out_off_[v + 1] < out_off_[v] || in_off_[v + 1] < in_off_[v] ||
-        step_off_[v + 1] < step_off_[v])
+        steps_.off[v + 1] < steps_.off[v])
       cleanup_fail("non-monotone CSR offsets");
-    if (step_off_[v + 1] - step_off_[v] !=
+    if (steps_.off[v + 1] - steps_.off[v] !=
         (out_off_[v + 1] - out_off_[v]) + (in_off_[v + 1] - in_off_[v]))
       cleanup_fail("step span disagrees with the adjacency degrees");
   }
-  if (out_off_[n_] != m_ || in_off_[n_] != m_ || step_off_[n_] != steps_)
+  if (out_off_[n_] != m_ || in_off_[n_] != m_ || steps_.off[n_] != steps)
     cleanup_fail("CSR offsets do not cover the claimed totals");
-  for (std::size_t s = 0; s < steps_; ++s) {
-    if (step_succ_[s] >= steps_ || step_nbr_[s] >= n_ ||
-        step_vertex_[s] >= n_ ||
-        (step_move_[s] & 0x7fffffffu) >= alphabet_)
-      cleanup_fail("step index out of range");
+  for (std::size_t v = 0; v < n_; ++v) {
+    for (std::uint32_t s = steps_.off[v]; s < steps_.off[v + 1]; ++s) {
+      const std::uint32_t w = steps_.nbr[s], t = steps_.succ[s];
+      const std::uint32_t mb = steps_.move_bits[s];
+      if (t >= steps || w >= n_ || (mb & 0x7fffffffu) >= alphabet_)
+        cleanup_fail("step index out of range");
+      if (steps_.vertex[s] != v)
+        cleanup_fail("step owner disagrees with its span");
+      if (steps_.tag[s] != step_edge_tag(mb))
+        cleanup_fail("step tag disagrees with its move");
+      if (t < steps_.off[w] || t >= steps_.off[w + 1] || steps_.nbr[t] != v ||
+          steps_.move_bits[t] != (mb ^ 0x80000000u))
+        cleanup_fail("step successor is not the inverse step at its neighbour");
+    }
   }
   for (std::size_t a = 0; a < m_; ++a) {
     if ((out_arcs_[a] & 0xffffffffu) >= n_ || (out_arcs_[a] >> 32) >= alphabet_ ||
@@ -426,11 +381,11 @@ void OocGraph::touch_steps(std::uint32_t lo, std::uint32_t hi) const {
         static_cast<std::size_t>(lo) * elem_bytes;
     touch_range_locked(off, count * elem_bytes);
   };
-  seg(step_tag_, 8);
-  seg(step_vertex_, 4);
-  seg(step_succ_, 4);
-  seg(step_nbr_, 4);
-  seg(step_move_, 4);
+  seg(steps_.tag.data(), 8);
+  seg(steps_.vertex.data(), 4);
+  seg(steps_.succ.data(), 4);
+  seg(steps_.nbr.data(), 4);
+  seg(steps_.move_bits.data(), 4);
 }
 
 OocGraph::Residency OocGraph::residency() const {

@@ -36,7 +36,7 @@ using lapx::core::TypeInterner;
 using lapx::graph::LDigraph;
 using lapx::graph::OocError;
 using lapx::graph::OocGraph;
-using lapx::graph::OocStepCsr;
+using lapx::graph::StepCsr;
 using lapx::graph::Vertex;
 
 struct TempDir {
@@ -97,17 +97,7 @@ void expect_round_trip(const LDigraph& ld, const std::string& path) {
     ASSERT_TRUE(std::equal(a_in.begin(), a_in.end(), b_in.begin(), b_in.end()))
         << "in-arcs differ at vertex " << v;
   }
-  const OocStepCsr csr = lapx::graph::build_step_csr(ld);
-  const auto span_eq = [](auto span, const auto& vec) {
-    return span.size() == vec.size() &&
-           std::equal(span.begin(), span.end(), vec.begin());
-  };
-  EXPECT_TRUE(span_eq(g.step_off(), csr.off));
-  EXPECT_TRUE(span_eq(g.step_vertex(), csr.vertex));
-  EXPECT_TRUE(span_eq(g.step_succ(), csr.succ));
-  EXPECT_TRUE(span_eq(g.step_nbr(), csr.nbr));
-  EXPECT_TRUE(span_eq(g.step_move_bits(), csr.move_bits));
-  EXPECT_TRUE(span_eq(g.step_edge_tag(), csr.tag));
+  EXPECT_TRUE(g.steps() == lapx::graph::build_step_csr(ld).view());
 }
 
 TEST(OocFormat, RoundTripTorus) {
@@ -216,6 +206,111 @@ TEST(OocFormat, TruncatedPayloadFailsClosed) {
   bytes.resize(bytes.size() / 2);
   write_file(path, bytes);
   EXPECT_THROW(OocGraph{path}, OocError);
+}
+
+// A well-checksummed but inconsistent step CSR: each case below edits one
+// field and re-seals both checksums (as UnknownVersionFailsClosed does for
+// the header), so only the open-time structural pass stands between the
+// file and wrong-but-consistent TypeIds.
+
+// Byte offsets of the step segments, per the layout in graph/ooc.hpp.
+struct StepSegments {
+  std::size_t tag, off, vertex, succ, nbr, move_bits;
+};
+
+StepSegments step_segments(std::size_t n, std::size_t m) {
+  const auto pad8 = [](std::size_t b) { return (b + 7) & ~std::size_t{7}; };
+  const std::size_t steps = 2 * m;
+  StepSegments seg{};
+  seg.tag = 128 + 2 * (n + 1) * 8 + 2 * m * 8;
+  seg.off = seg.tag + steps * 8;
+  seg.vertex = seg.off + pad8((n + 1) * 4);
+  seg.succ = seg.vertex + pad8(steps * 4);
+  seg.nbr = seg.succ + pad8(steps * 4);
+  seg.move_bits = seg.nbr + pad8(steps * 4);
+  return seg;
+}
+
+template <class T>
+void poke(std::vector<unsigned char>& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
+}
+
+// Recomputes the payload checksum, then the header checksum over it.
+void reseal(std::vector<unsigned char>& bytes) {
+  poke(bytes, 56, lapx::graph::fnv1a64(bytes.data() + 128, bytes.size() - 128));
+  poke(bytes, 64, lapx::graph::fnv1a64(bytes.data(), 64));
+}
+
+void expect_rejected(const std::string& path, std::vector<unsigned char> bytes,
+                     const std::string& why) {
+  reseal(bytes);
+  write_file(path, bytes);
+  try {
+    OocGraph g(path);
+    ADD_FAILURE() << "accepted a file that should fail with: " << why;
+  } catch (const OocError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+TEST(OocFormat, InconsistentStepCsrFailsClosed) {
+  TempDir dir;
+  const std::string path = dir.path + "/g.lapxooc";
+  const LDigraph ld = lapx::graph::to_ldigraph(lapx::graph::torus({3, 3}));
+  lapx::graph::write_ooc_graph(path, ld);
+  const std::vector<unsigned char> clean = read_file(path);
+  const StepCsr csr = lapx::graph::build_step_csr(ld);
+  const StepSegments seg = step_segments(ld.num_vertices(), ld.num_arcs());
+  const auto steps = static_cast<std::uint32_t>(csr.num_steps());
+  {
+    // Control: re-sealing alone keeps the file loadable.
+    auto bytes = clean;
+    reseal(bytes);
+    write_file(path, bytes);
+    EXPECT_NO_THROW(OocGraph{path});
+  }
+  // Step 0 belongs to vertex 0 and leads into vertex nbr[0]'s span.
+  const std::uint32_t w = csr.nbr[0];
+  {
+    auto bytes = clean;
+    poke<std::uint32_t>(bytes, seg.vertex, 1);
+    expect_rejected(path, bytes, "step owner disagrees with its span");
+  }
+  {
+    auto bytes = clean;
+    poke<std::uint64_t>(bytes, seg.tag, csr.tag[0] ^ (std::uint64_t{1} << 32));
+    expect_rejected(path, bytes, "step tag disagrees with its move");
+  }
+  {
+    // A successor in some other vertex's span.
+    auto bytes = clean;
+    poke<std::uint32_t>(bytes, seg.succ, csr.off[w] == 0 ? csr.off[w + 1] : 0);
+    expect_rejected(path, bytes, "step successor");
+  }
+  {
+    // A successor inside the neighbour's span, but not the inverse step.
+    auto bytes = clean;
+    const std::uint32_t first = csr.off[w];
+    poke<std::uint32_t>(bytes, seg.succ,
+                        csr.succ[0] == first ? first + 1 : first);
+    expect_rejected(path, bytes, "step successor");
+  }
+  {
+    auto bytes = clean;
+    poke<std::uint32_t>(bytes, seg.succ, steps);
+    expect_rejected(path, bytes, "step index out of range");
+  }
+  {
+    // Shift vertex 0's out-arc and step ends past vertex 1's: vertex 0 still
+    // agrees with its degrees, so the offsets fail as non-monotone at 1.
+    auto bytes = clean;
+    const std::uint64_t bump = ld.out_degree(1) + 1;
+    poke<std::uint64_t>(bytes, 128 + 8, ld.out_degree(0) + bump);
+    poke<std::uint32_t>(bytes, seg.off + 4,
+                        static_cast<std::uint32_t>(csr.off[1] + bump));
+    expect_rejected(path, bytes, "non-monotone CSR offsets");
+  }
 }
 
 // ------------------------------------------------ streaming refinement --

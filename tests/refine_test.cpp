@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "lapx/core/refine.hpp"
@@ -15,6 +18,7 @@
 #include "lapx/graph/lift.hpp"
 #include "lapx/graph/mutation.hpp"
 #include "lapx/graph/port_numbering.hpp"
+#include "lapx/graph/step_csr.hpp"
 #include "lapx/group/homogeneous.hpp"
 #include "lapx/runtime/parallel.hpp"
 #include "lapx/runtime/worklist.hpp"
@@ -22,16 +26,20 @@
 namespace {
 
 using namespace lapx::core;
+using lapx::graph::build_step_csr;
+using lapx::graph::checked_step_offset;
 using lapx::graph::directed_cycle;
 using lapx::graph::directed_torus;
 using lapx::graph::LDigraph;
+using lapx::graph::patch_step_csr;
+using lapx::graph::StepCsr;
 using lapx::graph::Vertex;
 
 // Engine and oracle share one fresh interner, so agreement must be exact
 // TypeId equality, not just equality as a partition.
 void expect_engine_matches_legacy(const LDigraph& g, int max_r) {
   TypeInterner interner;
-  ViewRefiner refiner(g, interner);
+  RefineState refiner(g, interner);
   for (int r = 0; r <= max_r; ++r) {
     const auto& types = refiner.types_at(r);
     ASSERT_EQ(static_cast<Vertex>(types.size()), g.num_vertices());
@@ -103,7 +111,7 @@ TEST(Refine, EmptyAndSingleVertex) {
 TEST(Refine, DistinctCountsMatchPartition) {
   const LDigraph g = directed_torus({6, 6});
   TypeInterner interner;
-  ViewRefiner refiner(g, interner);
+  RefineState refiner(g, interner);
   for (int r : {0, 1, 2}) {
     const auto& types = refiner.types_at(r);
     std::vector<TypeId> sorted(types);
@@ -160,7 +168,7 @@ TEST(Refine, StabilityFastPathStaysExact) {
   // per-class fast path must keep matching the oracle at every radius.
   const LDigraph g = directed_torus({5, 5});
   TypeInterner interner;
-  ViewRefiner refiner(g, interner);
+  RefineState refiner(g, interner);
   refiner.types_at(6);
   EXPECT_TRUE(refiner.stable());
   for (int r = 4; r <= 6; ++r) {
@@ -459,7 +467,7 @@ TEST(RefineWorklist, MatchesLegacyAcrossThreadCounts) {
     set_refine_scheduling(RefineSched::kLegacy);
     lapx::runtime::set_thread_count(1);
     TypeInterner ref_interner;
-    ViewRefiner ref(g, ref_interner);
+    RefineState ref(g, ref_interner);
     ref.types_at(max_r);
     for (int threads : {1, 8, 16}) {
       lapx::runtime::set_thread_count(threads);
@@ -467,7 +475,7 @@ TEST(RefineWorklist, MatchesLegacyAcrossThreadCounts) {
            {RefineSched::kLegacy, RefineSched::kWorklist}) {
         set_refine_scheduling(sched);
         TypeInterner interner;
-        ViewRefiner refiner(g, interner);
+        RefineState refiner(g, interner);
         for (int r = 0; r <= max_r; ++r) {
           EXPECT_EQ(refiner.types_at(r), ref.types_at(r))
               << "threads=" << threads << " sched="
@@ -503,7 +511,7 @@ TEST(RefineWorklist, RetirementEngagesOnForest) {
   const LDigraph g = random_forest(4000, 2, rng);
   const auto before = lapx::runtime::worklist_stats();
   TypeInterner interner;
-  ViewRefiner refiner(g, interner);
+  RefineState refiner(g, interner);
   refiner.types_at(8);
   const auto after = lapx::runtime::worklist_stats();
   EXPECT_GT(after.regions + after.inline_regions,
@@ -520,13 +528,13 @@ TEST(RefineWorklist, SchedulingToggleMidStream) {
   std::mt19937_64 rng(31);
   const LDigraph g = random_forest(200, 2, rng);
   TypeInterner interner;
-  ViewRefiner refiner(g, interner);
+  RefineState refiner(g, interner);
   const RefineSched plan[] = {RefineSched::kWorklist, RefineSched::kWorklist,
                               RefineSched::kLegacy, RefineSched::kWorklist,
                               RefineSched::kLegacy, RefineSched::kWorklist,
                               RefineSched::kWorklist};
   TypeInterner ref_interner;
-  ViewRefiner ref(g, ref_interner);
+  RefineState ref(g, ref_interner);
   set_refine_scheduling(RefineSched::kLegacy);
   ref.types_at(6);  // reference computed wholly under the dense schedule
   int r = 0;
@@ -578,6 +586,91 @@ TEST(RefineDelta, PortRenumberingAfterMaxDegreeChange) {
   const auto stats = state.refine_delta(ld1);
   EXPECT_FALSE(stats.full_rebuild);
   expect_delta_matches_scratch(state, ld1, 2, interner);
+}
+
+// ---------------------------------------------------------------------------
+// The step CSR (graph/step_csr.hpp) behind every refinement: one builder and
+// one patch, which must agree exactly, whatever the thread count.
+
+// The vertices whose (move_bits, nbr) step sequence differs between two
+// CSRs, plus every vertex `after` appended: what patch_step_csr must report.
+std::vector<Vertex> signature_changes(const StepCsr& before,
+                                      const StepCsr& after) {
+  std::vector<Vertex> changed;
+  const std::size_t old_n = before.off.size() - 1;
+  for (std::size_t v = 0; v + 1 < after.off.size(); ++v) {
+    const auto span = [v](const StepCsr& c, const auto& field) {
+      return std::vector<std::uint32_t>(field.begin() + c.off[v],
+                                        field.begin() + c.off[v + 1]);
+    };
+    if (v >= old_n ||
+        span(before, before.move_bits) != span(after, after.move_bits) ||
+        span(before, before.nbr) != span(after, after.nbr))
+      changed.push_back(static_cast<Vertex>(v));
+  }
+  return changed;
+}
+
+TEST(StepCsr, PatchEqualsBuildOverCutHealSequences) {
+  // Random cuts (degrees drop, so spans shift), heals of earlier cuts,
+  // same-degree rewires (successors move, layout does not) and appended
+  // vertices on a torus lift; after every edit the patched CSR must equal a
+  // fresh build and report exactly the signature-changed vertices.
+  std::mt19937_64 rng(17);
+  LDigraph g = lapx::graph::random_lift(directed_torus({3, 4}), 6, rng).graph;
+  StepCsr steps = build_step_csr(g), next;
+  std::vector<lapx::graph::Arc> cut;
+  for (int edit = 0; edit < 80; ++edit) {
+    LDigraph edited = g;
+    const auto op = rng() % 4;
+    if (op == 0 && !cut.empty()) {
+      const std::size_t i = rng() % cut.size();
+      const lapx::graph::Arc c = cut[i];
+      cut.erase(cut.begin() + static_cast<std::ptrdiff_t>(i));
+      // A rewire may have claimed the pair since; then the heal is a no-op.
+      bool taken = false;
+      for (const auto& [l, w] : edited.out_arcs(c.from)) taken |= w == c.to;
+      if (!taken) edited.add_arc(c.from, c.to, c.label);
+    } else if (op == 1) {
+      random_rewire(edited, rng);
+    } else if (op == 2 && edit % 10 == 0) {
+      edited.add_vertices(1 + static_cast<Vertex>(rng() % 3));
+    } else {
+      const auto a = edited.arcs()[rng() % edited.arcs().size()];
+      edited.remove_arc(a.from, a.to);
+      cut.push_back(a);
+    }
+    const std::vector<Vertex> dirty =
+        patch_step_csr(edited, steps.view(), next);
+    const StepCsr built = build_step_csr(edited);
+    ASSERT_TRUE(next.view() == built.view()) << "edit " << edit;
+    EXPECT_EQ(dirty, signature_changes(steps, built)) << "edit " << edit;
+    std::swap(steps, next);
+    g = std::move(edited);
+  }
+}
+
+TEST(StepCsr, BuildIsThreadCountIndependent) {
+  std::mt19937_64 rng(23);
+  const LDigraph g =
+      lapx::graph::random_lift(directed_torus({3, 4}), 200, rng).graph;
+  const int old_threads = lapx::runtime::thread_count();
+  lapx::runtime::set_thread_count(1);
+  const StepCsr one = build_step_csr(g);
+  lapx::runtime::set_thread_count(8);
+  const StepCsr eight = build_step_csr(g);
+  lapx::runtime::set_thread_count(old_threads);
+  EXPECT_TRUE(one.view() == eight.view());
+}
+
+TEST(StepCsr, StepBoundThrowsInsteadOfWrapping) {
+  // build_step_csr (and so RefineState) and patch_step_csr pass their step
+  // total through checked_step_offset before filling a step: a 2^32-step
+  // graph must throw, not wrap to a small offset and index out of bounds.
+  EXPECT_EQ(checked_step_offset(0), 0u);
+  EXPECT_EQ(checked_step_offset(0xffffffffull), 0xffffffffu);
+  EXPECT_THROW(checked_step_offset(std::uint64_t{1} << 32), std::length_error);
+  EXPECT_THROW(checked_step_offset(0xffffffffull + 12), std::length_error);
 }
 
 }  // namespace

@@ -317,17 +317,7 @@ int cmd_graph_convert(int argc, char** argv) {
             "graph-convert: round-trip adjacency mismatch at vertex " +
             std::to_string(v));
     }
-    const graph::OocStepCsr steps = graph::build_step_csr(ld);
-    auto span_eq = [](auto span, const auto& vec) {
-      return span.size() == vec.size() &&
-             std::equal(span.begin(), span.end(), vec.begin());
-    };
-    if (!span_eq(reopened.step_off(), steps.off) ||
-        !span_eq(reopened.step_vertex(), steps.vertex) ||
-        !span_eq(reopened.step_succ(), steps.succ) ||
-        !span_eq(reopened.step_nbr(), steps.nbr) ||
-        !span_eq(reopened.step_move_bits(), steps.move_bits) ||
-        !span_eq(reopened.step_edge_tag(), steps.tag))
+    if (reopened.steps() != graph::build_step_csr(ld).view())
       throw std::runtime_error("graph-convert: round-trip step-CSR mismatch");
   }
   std::fprintf(stderr,
